@@ -3,7 +3,7 @@
 Two claims get measured (and written to ``BENCH_kernels.json``):
 
 * **Kernel time** — the five :mod:`repro.kernels` kernels on
-  workload-shaped inputs, best compiled backend vs the numpy anchor,
+  workload-shaped inputs, the C backend vs the numpy anchor,
   grouped into the two profiles that dominate the repo's benches:
   ``sweep`` (one-shot gap extract + breakeven thresholding + the LRU
   rank walk, the BENCH_sweep hot path) and ``stream`` (the fused

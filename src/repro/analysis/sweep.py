@@ -159,13 +159,6 @@ def _simulate_chunk(payload) -> list[SimulationResult]:
     )
 
 
-#: Historical alias: the group-id derivation moved to the planner layer
-#: (:func:`repro.analysis.planner.breakeven_group_ids`) so campaigns and
-#: sweeps can never disagree about batching; existing imports keep
-#: working.
-_breakeven_group_ids = breakeven_group_ids
-
-
 def _simulate_combos(
     base: ArchitectureConfig,
     trace: Trace,
@@ -374,7 +367,7 @@ def stream_sweep(
         stream,
         names,
         combos,
-        group_ids=_breakeven_group_ids(names, axes),
+        group_ids=breakeven_group_ids(names, axes),
         lut=lut,
         engine=engine,
         parallel=parallel,
@@ -425,7 +418,7 @@ def sweep(
         trace,
         names,
         combos,
-        group_ids=_breakeven_group_ids(names, axes),
+        group_ids=breakeven_group_ids(names, axes),
         lut=lut,
         engine=engine,
         parallel=parallel,

@@ -29,8 +29,14 @@ import os
 from dataclasses import dataclass
 
 from repro.aging.lut import LifetimeLUT
-from repro.analysis.planner import PlanContext, SearchSpec, get_strategy, plan_grid
-from repro.analysis.sweep import _breakeven_group_ids, simulate_selected
+from repro.analysis.planner import (
+    PlanContext,
+    SearchSpec,
+    breakeven_group_ids,
+    get_strategy,
+    plan_grid,
+)
+from repro.analysis.sweep import simulate_selected
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CampaignStore
 from repro.campaign.tracespec import TraceSpec
@@ -441,7 +447,7 @@ def run_campaign(
 
     names = spec.axis_names
     combos = spec.combos()
-    group_ids = _breakeven_group_ids(names, spec.axes)
+    group_ids = breakeven_group_ids(names, spec.axes)
 
     all_points: list[CampaignPoint] = []
     simulated = 0

@@ -48,7 +48,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.aging.lut import LifetimeLUT
-from repro.analysis.sweep import _breakeven_group_ids, simulate_selected
+from repro.analysis.planner import breakeven_group_ids
+from repro.analysis.sweep import simulate_selected
 from repro.campaign.run import _streaming_source, _write_manifest, campaign_status
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CampaignStore, point_hash
@@ -276,7 +277,7 @@ def _drain_pass(
     """
     names = spec.axis_names
     combos = spec.combos()
-    group_ids = _breakeven_group_ids(names, spec.axes)
+    group_ids = breakeven_group_ids(names, spec.axes)
     simulated = 0
     for trace_spec in spec.traces:
         points = spec.trace_points(trace_spec)

@@ -13,7 +13,7 @@ Endpoints
     and queued for draining by the server's background worker loop
     (which runs the claim-based work queue, so external workers may
     drain the same directory concurrently). Responds ``202`` with the
-    spec hash.
+    spec hash; a body above :data:`MAX_BODY_BYTES` gets ``413``.
 ``GET /status``
     Store-wide record count plus one
     :func:`~repro.campaign.run.status_payload` per known spec (every
@@ -21,14 +21,16 @@ Endpoints
     backlog.
 ``GET /records``
     Indexed record rows. Query parameters are equality filters on
-    index columns (``?num_banks=4&policy=plru``), plus ``limit``;
+    index columns (``?num_banks=4&policy=plru``), plus ``limit`` (a
+    non-negative integer);
     values are coerced to numbers when they look numeric. Served from
     the SQLite index — no record file is opened.
 ``GET /metrics``
     Aggregates (count / min / max / mean) of every indexed metric.
 
 Errors are JSON too: ``{"error": ...}`` with a 4xx status for client
-mistakes (unknown path, bad spec payload, unknown filter column).
+mistakes (unknown path, bad spec payload or ``Content-Length``,
+unknown filter column, bad ``limit``).
 """
 
 from __future__ import annotations
@@ -50,6 +52,14 @@ from repro.errors import ReproError, ServiceError
 
 #: Subdirectory of a campaign directory holding one file per submitted spec.
 SPECS_DIRNAME = "specs"
+
+#: Largest request body ``POST /specs`` reads; a larger declared
+#: ``Content-Length`` is answered 413 without reading the body.
+MAX_BODY_BYTES = 1 << 20
+
+
+class _BodyTooLarge(ServiceError):
+    """A request declared a body above :data:`MAX_BODY_BYTES` (HTTP 413)."""
 
 
 def _coerce(value: str) -> int | float | str | None:
@@ -204,7 +214,19 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise ServiceError(f"invalid Content-Length {declared!r}")
+        if length > MAX_BODY_BYTES:
+            # The unread body makes the connection unusable; close it.
+            self.close_connection = True
+            raise _BodyTooLarge(
+                f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            )
         raw = self.rfile.read(length)
         try:
             payload = json.loads(raw.decode("utf-8"))
@@ -225,6 +247,8 @@ class _Handler(BaseHTTPRequestHandler):
                 params = dict(parse_qsl(url.query))
                 limit_raw = params.pop("limit", None)
                 limit = int(limit_raw) if limit_raw is not None else None
+                if limit is not None and limit < 0:
+                    raise ServiceError(f"limit must be >= 0, got {limit}")
                 filters = {name: _coerce(value) for name, value in params.items()}
                 self._send_json(200, service.records(filters, limit))
             elif url.path == "/metrics":
@@ -245,6 +269,8 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             else:
                 self._send_json(404, {"error": f"unknown path {url.path}"})
+        except _BodyTooLarge as exc:
+            self._send_json(413, {"error": str(exc)})
         except ServiceError as exc:
             self._send_json(400, {"error": str(exc)})
 

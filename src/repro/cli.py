@@ -174,17 +174,14 @@ def _cmd_engines(args: argparse.Namespace) -> int:
             print(f"  {'':<12} requires {requires}")
     from repro.kernels import dispatch
 
-    compiled = dispatch.compiled_backend()
-    print("kernel backends (compiled engine dispatch):")
+    active = dispatch.active_backend()
+    print(f"kernel backends (active: {active}; pin with REPRO_KERNELS=numpy|cext):")
     for name, reason in dispatch.backend_status().items():
         if reason is None:
-            marker = " (selected)" if name == (compiled or "numpy") else ""
+            marker = " (active)" if name == active else ""
             print(f"  {name:<12} available{marker}")
         else:
             print(f"  {name:<12} unavailable: {reason}")
-    if compiled is None:
-        print("  no compiled backend loadable; the 'compiled' engine "
-              "falls back to numpy")
     return 0
 
 

@@ -11,8 +11,8 @@ management + dynamic indexing + aging, driven by traces.
   :func:`register_engine`;
 * :mod:`repro.core.simulator` — the cycle-faithful reference engine
   and the :func:`simulate` dispatcher;
-* :mod:`repro.core.fastsim` — the vectorized numpy engine (identical
-  results, orders of magnitude faster);
+* :mod:`repro.core.fastsim` — the vectorized engine on the active
+  kernel backend (identical results, orders of magnitude faster);
 * :mod:`repro.core.metrics` — the pluggable derived-metrics pipeline
   mapping measured counters to named values;
 * :mod:`repro.core.plan` — :class:`TracePlan`, memoized per-trace state
@@ -55,7 +55,7 @@ from repro.core.metrics import (
 from repro.core.plan import StreamingPlan, TracePlan
 from repro.core.results import SimulationResult
 from repro.core.simulator import ReferenceSimulator, assemble_result, simulate
-from repro.core.streamsim import run_streaming, run_streaming_group, simulate_stream
+from repro.core.streamsim import simulate_stream
 
 __all__ = [
     "ArchitectureConfig",
@@ -88,8 +88,6 @@ __all__ = [
     "TracePlan",
     "StreamingPlan",
     "run_breakeven_group",
-    "run_streaming",
-    "run_streaming_group",
     "simulate_stream",
     "SimulationResult",
     "assemble_result",

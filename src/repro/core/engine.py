@@ -1,10 +1,12 @@
 """Engine registry: simulation engines as pluggable extension points.
 
 An *engine* is anything that can turn ``(config, trace)`` into a
-:class:`~repro.core.results.SimulationResult`. The library ships three —
-``fast`` (vectorized, bit-identical to the oracle), ``reference`` (the
-event-by-event oracle) and ``finegrain`` (the per-line drowsy template
-of [7]) — and anything else can join by implementing the small
+:class:`~repro.core.results.SimulationResult`. The library ships four —
+``fast`` (vectorized on the active kernel backend of
+:mod:`repro.kernels.dispatch`, bit-identical to the oracle),
+``reference`` (the event-by-event oracle), ``finegrain`` (the per-line
+drowsy template of [7]) and ``estimate`` (closed-form prediction, no
+trace replay) — and anything else can join by implementing the small
 :class:`Engine` protocol and calling :func:`register_engine`. Every
 layer of the library (``simulate()``, sweeps, campaigns, the experiment
 runner, the CLI ``--engine`` flag) resolves engines through this one
@@ -81,18 +83,16 @@ class Engine:
     ``run_group(configs, trace, lut=None, plan=None)`` (see
     :class:`~repro.core.fastsim.FastEngine`).
 
-    Engines that can simulate chunked (out-of-core) traces expose
-    *streaming capabilities*, likewise duck-typed and
-    ``supports()``-gated at dispatch:
-
-    * ``run_streaming(config, stream, lut=None)`` — simulate one
-      configuration from a :class:`~repro.trace.stream.TraceStream`;
-    * ``run_streaming_group(configs, stream, lut=None)`` — one pass for
-      a breakeven-only group;
-    * ``open_stream_cursor(configs, plan)`` — a carried-state cursor
-      (``process(plan)`` per chunk, ``finalize(horizon, name, lut)``)
-      letting :func:`~repro.core.streamsim.stream_selected` evaluate
-      many grid points in a single pass over the stream.
+    Engines that can simulate chunked (out-of-core) traces expose one
+    *streaming capability*, likewise duck-typed and ``supports()``-gated
+    at dispatch: ``open_stream_cursor(configs, plan, shard=None)``
+    returns a carried-state cursor (``process(plan)`` per chunk,
+    ``finalize(horizon, name, lut)``; with ``shard=(index, count)``,
+    ``finalize_partial(horizon)``) for a breakeven-only group. It lets
+    :func:`~repro.core.streamsim.stream_selected` evaluate many grid
+    points in a single pass over the stream, sharded across processes
+    or not; :func:`~repro.core.streamsim.simulate_stream` is its
+    one-point case.
 
     :func:`supports_streaming` is the capability query; engines without
     it fail loudly on streaming entry points instead of silently
@@ -128,7 +128,7 @@ _builtins_loaded = False
 #: Names the lazily imported built-in modules register themselves;
 #: everything else is a plugin that worker processes must be handed
 #: explicitly (see :func:`custom_engines` / :func:`install_engines`).
-_BUILTIN_ENGINE_NAMES = frozenset({"fast", "reference", "finegrain", "compiled", "estimate"})
+_BUILTIN_ENGINE_NAMES = frozenset({"fast", "reference", "finegrain", "estimate"})
 
 #: The actual built-in instances, captured at their registration — a
 #: replace=True override of a built-in name is then still recognized
@@ -145,7 +145,6 @@ def _ensure_builtins() -> None:
     import repro.core.simulator  # noqa: F401  (registers "reference")
     import repro.core.fastsim  # noqa: F401  (registers "fast")
     import repro.finegrain.engine  # noqa: F401  (registers "finegrain")
-    import repro.kernels.engine  # noqa: F401  (registers "compiled")
     import repro.estimate.engine  # noqa: F401  (registers "estimate")
 
 
@@ -266,8 +265,8 @@ def validate_engine(engine: str) -> None:
 
 
 def supports_streaming(engine: Engine) -> bool:
-    """Whether ``engine`` exposes the ``run_streaming`` capability."""
-    return callable(getattr(engine, "run_streaming", None))
+    """Whether ``engine`` exposes the ``open_stream_cursor`` capability."""
+    return callable(getattr(engine, "open_stream_cursor", None))
 
 
 def result_family(engine: str) -> str:

@@ -27,6 +27,15 @@ Across a sweep, everything breakeven-independent — decode, epoch
 bracketing, hit counts, the bank sort — is shared between points through
 :class:`repro.core.plan.TracePlan`, and :func:`run_breakeven_group`
 evaluates a whole ``breakeven_override`` axis from one gap computation.
+
+The hot loops run through :mod:`repro.kernels.dispatch` on whichever
+kernel backend is active (``cext`` where a C compiler exists, ``numpy``
+otherwise, or the one ``REPRO_KERNELS`` / ``use_backend`` pins); the
+backends are bit-identical, so the choice only changes speed. The
+:class:`FastEngine` adapter registers this engine as ``fast``, the one
+banked simulate engine besides the reference oracle, and also exposes
+the chunked-trace capability ``open_stream_cursor`` of
+:mod:`repro.core.streamsim`.
 """
 
 from __future__ import annotations
@@ -63,10 +72,6 @@ class FastSimulator:
         from (and grown into) the plan's caches; when omitted a private
         plan is built per :meth:`run` call. Results are identical either
         way.
-    backend:
-        Kernel backend override (see :mod:`repro.kernels.dispatch`);
-        ``None`` uses the process default. Every backend is
-        bit-identical, so this only changes speed.
     """
 
     def __init__(
@@ -74,12 +79,10 @@ class FastSimulator:
         config: ArchitectureConfig,
         lut: LifetimeLUT | None = None,
         plan: TracePlan | None = None,
-        backend: str | None = None,
     ) -> None:
         self.config = config
         self.lut = lut
         self.plan = plan
-        self.backend = backend
 
     # ------------------------------------------------------------------
     def _epoch_boundaries(self, trace: Trace) -> np.ndarray:
@@ -103,9 +106,7 @@ class FastSimulator:
         stack simulation of :meth:`_epoch_hits_lru`. Both agree exactly
         with :class:`~repro.core.simulator.ReferenceSimulator`.
         """
-        return run_breakeven_group(
-            [self.config], trace, lut=self.lut, plan=self.plan, backend=self.backend
-        )[0]
+        return run_breakeven_group([self.config], trace, lut=self.lut, plan=self.plan)[0]
 
     @staticmethod
     def _epoch_hits(index: np.ndarray, tag: np.ndarray) -> tuple[int, int]:
@@ -141,7 +142,7 @@ class FastSimulator:
 
     @staticmethod
     def _grouped_lru(
-        keys: np.ndarray, tag: np.ndarray, ways: int, backend: str | None = None
+        keys: np.ndarray, tag: np.ndarray, ways: int
     ) -> tuple[int, np.ndarray, np.ndarray]:
         """LRU simulation over contiguous key-groups.
 
@@ -150,8 +151,8 @@ class FastSimulator:
         call covers the whole trace). Sorting by (key, arrival) makes
         each group contiguous and in arrival order; the per-group stack
         walk itself is :func:`repro.kernels.lru_walk` — a lockstep rank
-        walk on the numpy backend, a sequential scan on the compiled
-        ones, bit-identical either way. Exact because an LRU set's
+        walk on the numpy backend, a sequential scan in C, bit-identical
+        either way. Exact because an LRU set's
         contents are history-independent: after any prefix the set
         holds precisely its ``ways`` most recently accessed distinct
         tags.
@@ -175,9 +176,7 @@ class FastSimulator:
         starts = np.flatnonzero(new_group)
         group_keys = key_sorted[starts]
         bounds = np.append(starts, n).astype(np.int64)
-        hits, lines_per_group = kernels.lru_walk(
-            tag_sorted, bounds, ways, backend=backend
-        )
+        hits, lines_per_group = kernels.lru_walk(tag_sorted, bounds, ways)
         return hits, lines_per_group, group_keys
 
 
@@ -187,7 +186,6 @@ def _functional_counts(
     starts: np.ndarray,
     ways: int,
     num_sets: int,
-    backend: str | None = None,
 ) -> tuple[int, int]:
     """(hits, flush_invalidations) over all cold-started epochs.
 
@@ -216,7 +214,7 @@ def _functional_counts(
         return 0, 0
     epoch_of = np.repeat(np.arange(num_epochs), np.diff(starts))
     hits, lines_per_group, group_keys = FastSimulator._grouped_lru(
-        epoch_of * num_sets + index, tag, ways, backend=backend
+        epoch_of * num_sets + index, tag, ways
     )
     lines_per_epoch = np.zeros(num_epochs, dtype=np.int64)
     np.add.at(lines_per_epoch, group_keys // num_sets, lines_per_group)
@@ -243,7 +241,6 @@ def run_breakeven_group(
     trace: Trace,
     lut: LifetimeLUT | None = None,
     plan: TracePlan | None = None,
-    backend: str | None = None,
 ) -> list[SimulationResult]:
     """Simulate configs that differ only in ``breakeven_override``.
 
@@ -272,18 +269,16 @@ def run_breakeven_group(
             geometry.ways,
             plan.schedule_key(base),
         ),
-        lambda: _functional_counts(
-            index, tag, starts, geometry.ways, geometry.num_sets, backend=backend
-        ),
+        lambda: _functional_counts(index, tag, starts, geometry.ways, geometry.num_sets),
     )
     # Per-bank idleness over the whole run (sleep is oblivious to
     # mapping changes; only the physical access stream matters). The
     # breakeven-independent gap structure is cached per routing, so
     # even *separate* groups sharing a routing (e.g. a power_managed
     # or technology axis) pay for the sort-and-gap pass once.
-    gaps = plan.idle_gaps(base, backend=backend)
+    gaps = plan.idle_gaps(base)
     breakevens = [_effective_breakeven(config, trace.horizon) for config in configs]
-    stats_batch = batch_stats_from_gaps(gaps, breakevens, backend=backend)
+    stats_batch = batch_stats_from_gaps(gaps, breakevens)
 
     misses = len(trace) - hits
     updates_applied = len(boundaries)
@@ -312,56 +307,37 @@ class FastEngine(Engine):
     to the reference oracle. Also exposes the breakeven-group batched
     fast path through ``run_group``, which the sweep engine uses to
     evaluate a whole ``breakeven_override`` axis from one gap
-    computation.
+    computation, and the streaming capability ``open_stream_cursor``.
     """
 
     name = "fast"
-    description = "vectorized numpy engine, bit-identical to the reference"
+    description = (
+        "vectorized engine on the active kernel backend, bit-identical "
+        "to the reference"
+    )
     priority = 10
-
-    #: The fast engine always runs the pure-numpy kernels — it is the
-    #: stable differential anchor the compiled engine is pinned
-    #: against (see repro.kernels.engine.CompiledEngine).
-    backend = "numpy"
-
-    #: Streaming passes of this engine can be sharded across worker
-    #: processes by set/bank partition (see
-    #: repro.core.streamsim.stream_selected).
-    supports_stream_shards = True
 
     def supports(self, config) -> bool:
         return isinstance(config, ArchitectureConfig)
 
     def run(self, config, trace, lut=None, plan=None):
-        return FastSimulator(config, lut, plan=plan, backend=self.backend).run(trace)
+        return FastSimulator(config, lut, plan=plan).run(trace)
 
     @staticmethod
     def run_group(configs, trace, lut=None, plan=None):
         """Batched evaluation of a breakeven-only config group."""
-        return run_breakeven_group(configs, trace, lut=lut, plan=plan, backend="numpy")
-
-    # -- streaming capabilities (see repro.core.streamsim) -------------
-    @staticmethod
-    def run_streaming(config, stream, lut=None, plan=None):
-        """Out-of-core simulation from a chunked trace stream."""
-        from repro.core.streamsim import run_streaming
-
-        return run_streaming(config, stream, lut=lut, plan=plan, backend="numpy")
-
-    @staticmethod
-    def run_streaming_group(configs, stream, lut=None, plan=None):
-        """One streamed pass for a whole breakeven-only group."""
-        from repro.core.streamsim import run_streaming_group
-
-        return run_streaming_group(configs, stream, lut=lut, plan=plan, backend="numpy")
+        return run_breakeven_group(configs, trace, lut=lut, plan=plan)
 
     @staticmethod
     def open_stream_cursor(configs, plan, shard=None):
-        """Carried-state cursor for single-pass multi-group evaluation."""
+        """Carried-state cursor over a chunked pass (see repro.core.streamsim).
+
+        ``shard=(index, count)`` restricts the cursor to one set/bank
+        partition of a sharded parallel pass.
+        """
         from repro.core.streamsim import StreamCursor
 
-        return StreamCursor(configs, plan, backend="numpy", shard=shard)
+        return StreamCursor(configs, plan, shard=shard)
 
 
 register_engine(FastEngine())
-

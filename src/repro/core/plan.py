@@ -209,7 +209,7 @@ class TracePlan:
         """
         return self._compute_bank_order(config)
 
-    def idle_gaps(self, config, backend: str | None = None) -> IdleGapStructure:
+    def idle_gaps(self, config) -> IdleGapStructure:
         """Cached breakeven-independent idle-gap structure per routing.
 
         This is the layer the fast engine's idleness accounting reads:
@@ -218,17 +218,14 @@ class TracePlan:
         kept. The cache holds at most :attr:`max_gap_routings`
         structures (FIFO eviction), bounding plan memory on grids with
         many routings; eviction only costs a re-sort if an old routing
-        recurs, never correctness. ``backend`` selects the kernel
-        backend for a cache miss only — every backend produces a
-        bit-identical structure, so the cache key excludes it.
+        recurs, never correctness.
         """
         key = self._routing_key("gaps", config)
 
         def compute():
             route = self._compute_bank_order(config)
             return idle_gaps_from_sorted_accesses(
-                route.sorted_cycles, route.splits, 0, self.trace.horizon,
-                backend=backend,
+                route.sorted_cycles, route.splits, 0, self.trace.horizon
             )
 
         gaps = self.cached(key, compute)

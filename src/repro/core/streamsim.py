@@ -31,14 +31,15 @@ breakevens and adversarial chunk sizes), while peak memory is bounded
 by the chunk size, not the trace length
 (``benchmarks/bench_stream.py`` measures it).
 
-Entry points: :func:`run_streaming` / :func:`run_streaming_group`
-(exposed as capabilities on the fast engine — see
-:class:`~repro.core.fastsim.FastEngine`), :func:`simulate_stream` (the
-dispatching front-end mirroring
-:func:`~repro.core.simulator.simulate`), and
-:func:`stream_selected` (single-pass evaluation of many grid points,
-used by :func:`~repro.analysis.sweep.stream_sweep` and the campaign
-runner).
+An engine streams through one capability, ``open_stream_cursor(configs,
+plan, shard=None)``, which returns a :class:`StreamCursor` (the fast
+engine's — see :class:`~repro.core.fastsim.FastEngine`). The one
+driver of cursors is :func:`stream_selected` (single-pass evaluation of
+many grid points, used by :func:`~repro.analysis.sweep.stream_sweep`
+and the campaign runner); :func:`simulate_stream`, the front-end
+mirroring :func:`~repro.core.simulator.simulate`, is its one-point
+case. Kernels run on the active backend of
+:mod:`repro.kernels.dispatch`.
 
 **Sharded parallel streaming.** ``stream_selected(parallel=N)`` splits
 one pass over the stream across ``N`` worker processes: worker ``w``
@@ -51,8 +52,7 @@ counters reconstruct the serial pass **bit-identically** (the fuzz
 suite pins it). Every worker re-opens the stream (the
 :class:`~repro.trace.stream.TraceStream` contract makes ``chunks()``
 repeatable) and advances its own policy/epoch cursors; when the stream
-cannot travel to workers or an engine lacks the sharding capability,
-the pass falls back to serial with a
+cannot travel to workers, the pass falls back to serial with a
 :class:`~repro.errors.ReproWarning`.
 """
 
@@ -67,7 +67,7 @@ import numpy as np
 
 from repro.aging.lut import LifetimeLUT
 from repro.cache.stats import CacheStats
-from repro.core.engine import resolve_engine, validate_engine
+from repro.core.engine import resolve_engine, supports_streaming, validate_engine
 from repro.core.plan import StreamingPlan, TracePlan
 from repro.core.results import SimulationResult
 from repro.core.simulator import assemble_result
@@ -77,14 +77,12 @@ from repro.power.idleness import BankIdleStats, StreamingGapAccumulator
 from repro.trace.stream import TraceStream
 
 
-class _DirectMappedTracker:
-    """Carried cache-content state of a direct-mapped geometry.
+class _HitTracker:
+    """Carried cache-content state of one functional identity.
 
-    One tag (plus a valid bit) per set — exactly what a direct-mapped
-    cache remembers — so the adjacent-tag hit rule of the one-shot
-    engine extends across chunk boundaries: the first access of a set
-    within a chunk compares against the carried tag, later ones against
-    their in-chunk predecessor.
+    Subclasses hold the per-set state and implement :meth:`flush` and
+    :meth:`_segment` (one epoch segment, in arrival order); this base
+    walks a chunk's epoch segments.
 
     ``shard`` is an optional ``(index, count)`` pair restricting the
     tracker to the sets with ``set % count == index`` — the set
@@ -93,16 +91,7 @@ class _DirectMappedTracker:
     serial tracker's contribution from those sets.
     """
 
-    def __init__(
-        self,
-        num_sets: int,
-        ways: int,
-        backend: str | None = None,
-        shard: tuple[int, int] | None = None,
-    ) -> None:
-        self.tags = np.zeros(num_sets, dtype=np.int64)
-        self.valid = np.zeros(num_sets, dtype=bool)
-        self.backend = backend
+    def __init__(self, shard: tuple[int, int] | None = None) -> None:
         self.shard = shard
         self.hits = 0
         self.flush_invalidations = 0
@@ -110,6 +99,56 @@ class _DirectMappedTracker:
 
     def flush(self) -> None:
         """An update fired: count surviving lines, start the epoch cold."""
+        raise NotImplementedError
+
+    def _segment(self, index: np.ndarray, tag: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def process_chunk(self, plan: StreamingPlan, config) -> None:
+        """Advance through the current chunk (idempotent per chunk)."""
+        if plan.chunk_id == self._chunk_id:
+            return
+        self._chunk_id = plan.chunk_id
+        geometry = config.geometry
+        index, tag = plan.decode(geometry.offset_bits, geometry.index_bits)
+        keep = None
+        if self.shard is not None:
+            worker, count = self.shard
+            keep = (index % count) == worker
+        _, starts = plan.epoch_segments(config)
+        for segment in range(len(starts) - 1):
+            if segment > 0:
+                self.flush()
+            lo, hi = int(starts[segment]), int(starts[segment + 1])
+            if lo < hi:
+                if keep is None:
+                    self._segment(index[lo:hi], tag[lo:hi])
+                else:
+                    mask = keep[lo:hi]
+                    self._segment(index[lo:hi][mask], tag[lo:hi][mask])
+
+
+class _DirectMappedTracker(_HitTracker):
+    """Carried cache-content state of a direct-mapped geometry.
+
+    One tag (plus a valid bit) per set — exactly what a direct-mapped
+    cache remembers — so the adjacent-tag hit rule of the one-shot
+    engine extends across chunk boundaries: the first access of a set
+    within a chunk compares against the carried tag, later ones against
+    their in-chunk predecessor.
+    """
+
+    def __init__(
+        self,
+        num_sets: int,
+        ways: int,
+        shard: tuple[int, int] | None = None,
+    ) -> None:
+        super().__init__(shard)
+        self.tags = np.zeros(num_sets, dtype=np.int64)
+        self.valid = np.zeros(num_sets, dtype=bool)
+
+    def flush(self) -> None:
         self.flush_invalidations += int(np.count_nonzero(self.valid))
         self.valid[:] = False
 
@@ -140,31 +179,8 @@ class _DirectMappedTracker:
         self.tags[idx_sorted[last_pos]] = tag_sorted[last_pos]
         self.valid[idx_sorted[last_pos]] = True
 
-    def process_chunk(self, plan: StreamingPlan, config) -> None:
-        """Advance through the current chunk (idempotent per chunk)."""
-        if plan.chunk_id == self._chunk_id:
-            return
-        self._chunk_id = plan.chunk_id
-        geometry = config.geometry
-        index, tag = plan.decode(geometry.offset_bits, geometry.index_bits)
-        keep = None
-        if self.shard is not None:
-            worker, count = self.shard
-            keep = (index % count) == worker
-        _, starts = plan.epoch_segments(config)
-        for segment in range(len(starts) - 1):
-            if segment > 0:
-                self.flush()
-            lo, hi = int(starts[segment]), int(starts[segment + 1])
-            if lo < hi:
-                if keep is None:
-                    self._segment(index[lo:hi], tag[lo:hi])
-                else:
-                    mask = keep[lo:hi]
-                    self._segment(index[lo:hi][mask], tag[lo:hi][mask])
 
-
-class _LruTracker:
+class _LruTracker(_HitTracker):
     """Carried LRU stacks of a set-associative geometry.
 
     The full ``(num_sets, ways)`` recency stacks are the carried state;
@@ -175,25 +191,17 @@ class _LruTracker:
     from the carried contents instead of cold. Exact for the same
     reason the one-shot walk is: an LRU set's contents are a
     history-independent function of its most recent distinct tags.
-
-    ``shard`` restricts the tracker to its set partition exactly like
-    :class:`_DirectMappedTracker`.
     """
 
     def __init__(
         self,
         num_sets: int,
         ways: int,
-        backend: str | None = None,
         shard: tuple[int, int] | None = None,
     ) -> None:
+        super().__init__(shard)
         self.ways = ways
         self.stacks = np.full((num_sets, ways), -1, dtype=np.int64)
-        self.backend = backend
-        self.shard = shard
-        self.hits = 0
-        self.flush_invalidations = 0
-        self._chunk_id = -1
 
     def flush(self) -> None:
         self.flush_invalidations += int(np.count_nonzero(self.stacks != -1))
@@ -203,38 +211,12 @@ class _LruTracker:
         if index.size == 0:
             return
         order = np.argsort(index, kind="stable")
-        self.hits += kernels.lru_segment(
-            index[order], tag[order], self.stacks, backend=self.backend
-        )
-
-    def process_chunk(self, plan: StreamingPlan, config) -> None:
-        """Advance through the current chunk (idempotent per chunk)."""
-        if plan.chunk_id == self._chunk_id:
-            return
-        self._chunk_id = plan.chunk_id
-        geometry = config.geometry
-        index, tag = plan.decode(geometry.offset_bits, geometry.index_bits)
-        keep = None
-        if self.shard is not None:
-            worker, count = self.shard
-            keep = (index % count) == worker
-        _, starts = plan.epoch_segments(config)
-        for segment in range(len(starts) - 1):
-            if segment > 0:
-                self.flush()
-            lo, hi = int(starts[segment]), int(starts[segment + 1])
-            if lo < hi:
-                if keep is None:
-                    self._segment(index[lo:hi], tag[lo:hi])
-                else:
-                    mask = keep[lo:hi]
-                    self._segment(index[lo:hi][mask], tag[lo:hi][mask])
+        self.hits += kernels.lru_segment(index[order], tag[order], self.stacks)
 
 
 def _hit_tracker(
     plan: StreamingPlan,
     config,
-    backend: str | None = None,
     shard: tuple[int, int] | None = None,
 ):
     """Shared hit/flush tracker for the config's functional identity.
@@ -242,9 +224,7 @@ def _hit_tracker(
     Keyed exactly like the one-shot plan's ``hits`` section — bit
     split × ways × schedule (plus the shard, if any) — so
     configurations differing only in banking, policy or power
-    management share one cache-content walk per pass. The kernel
-    backend is not part of the key: every backend is bit-identical, so
-    whichever cursor creates the tracker fixes the backend it runs on.
+    management share one cache-content walk per pass.
     """
     geometry = config.geometry
     key = (
@@ -257,7 +237,7 @@ def _hit_tracker(
     )
     cls = _DirectMappedTracker if geometry.ways == 1 else _LruTracker
     return plan.persistent(
-        key, lambda: cls(geometry.num_sets, geometry.ways, backend, shard)
+        key, lambda: cls(geometry.num_sets, geometry.ways, shard)
     )
 
 
@@ -272,19 +252,17 @@ class StreamCursor:
     Memory is O(num_sets × ways + num_banks × breakevens + chunk) —
     independent of stream length.
 
-    ``backend`` selects the kernel backend for the tracker and gap
-    walks (bit-identical across backends). ``shard`` is the
-    ``(index, count)`` pair of a sharded parallel pass: the cursor then
-    tracks hits only for its set partition and gaps only for its bank
-    partition, and must be finalized with :meth:`finalize_partial` so
-    the parent can merge the shard set back into full results.
+    ``shard`` is the ``(index, count)`` pair of a sharded parallel
+    pass: the cursor then tracks hits only for its set partition and
+    gaps only for its bank partition, and must be finalized with
+    :meth:`finalize_partial` so the parent can merge the shard set back
+    into full results.
     """
 
     def __init__(
         self,
         configs,
         plan: StreamingPlan,
-        backend: str | None = None,
         shard: tuple[int, int] | None = None,
     ) -> None:
         if not configs:
@@ -296,7 +274,6 @@ class StreamCursor:
         self.base = configs[0]
         self.policy = self.base.make_policy()
         self.num_banks = self.base.num_banks
-        self.backend = backend
         self.shard = shard
         self._owned_banks = None
         owned = None
@@ -315,9 +292,9 @@ class StreamCursor:
             for config in self.configs
         ]
         self.gaps = StreamingGapAccumulator(
-            self.num_banks, breakevens, backend=backend, owned_banks=owned
+            self.num_banks, breakevens, owned_banks=owned
         )
-        self.tracker = _hit_tracker(plan, self.base, backend=backend, shard=shard)
+        self.tracker = _hit_tracker(plan, self.base, shard=shard)
         self.updates_applied = 0
         self.accesses = 0
 
@@ -494,66 +471,22 @@ def _finished_horizon(stream: TraceStream) -> int:
     return int(horizon)
 
 
-def run_streaming_group(
-    configs,
-    stream: TraceStream,
-    lut: LifetimeLUT | None = None,
-    plan: StreamingPlan | None = None,
-    backend: str | None = None,
-) -> list[SimulationResult]:
-    """Simulate a breakeven-only config group in one pass over ``stream``.
-
-    The streaming analogue of
-    :func:`~repro.core.fastsim.run_breakeven_group`: one chunked pass,
-    one carried gap state, every breakeven thresholded incrementally.
-    Results are bit-identical to the one-shot group on the materialized
-    trace.
-    """
-    if not configs:
-        return []
-    plan = plan if plan is not None else StreamingPlan()
-    cursor = StreamCursor(configs, plan, backend=backend)
-    for chunk in stream.chunks():
-        plan.begin_chunk(chunk)
-        cursor.process(plan)
-    return cursor.finalize(_finished_horizon(stream), stream.name, lut)
-
-
-def run_streaming(
-    config,
-    stream: TraceStream,
-    lut: LifetimeLUT | None = None,
-    plan: StreamingPlan | None = None,
-    backend: str | None = None,
-) -> SimulationResult:
-    """Simulate one configuration from a chunked stream (out-of-core)."""
-    return run_streaming_group([config], stream, lut=lut, plan=plan, backend=backend)[0]
-
-
 def simulate_stream(
     config,
     stream: TraceStream,
     lut: LifetimeLUT | None = None,
     engine: str = "auto",
 ) -> SimulationResult:
-    """Dispatching front-end for streaming simulation.
+    """Simulate one configuration from a chunked stream (out-of-core).
 
     Mirrors :func:`~repro.core.simulator.simulate`, but takes a
-    :class:`~repro.trace.stream.TraceStream`. The resolved engine must
-    expose the ``run_streaming`` capability (the fast engine does;
-    ``auto`` therefore streams for every banked configuration); engines
-    without it fail loudly rather than silently materializing the
-    trace.
+    :class:`~repro.trace.stream.TraceStream`: the one-point case of
+    :func:`stream_selected`. The resolved engine must expose the
+    ``open_stream_cursor`` capability (the fast engine does; ``auto``
+    therefore streams for every banked configuration); engines without
+    it fail loudly rather than silently materializing the trace.
     """
-    chosen = resolve_engine(engine, config)
-    run = getattr(chosen, "run_streaming", None)
-    if run is None:
-        raise SimulationError(
-            f"engine {chosen.name!r} does not support streaming simulation; "
-            "materialize the trace (repro.trace.stream.stream_to_trace) or "
-            "pick an engine with the run_streaming capability"
-        )
-    return run(config, stream, lut=lut)
+    return stream_selected(config, stream, (), [()], lut=lut, engine=engine)[0]
 
 
 #: Per-worker shared state for the sharded streaming pass, installed
@@ -628,21 +561,17 @@ def _shard_pass(payload):
     )
 
 
-def _shardable(groups, base, names, combos, engine: str, stream) -> str | None:
-    """Why the pass cannot shard across processes (``None`` = it can)."""
-    for members in groups.values():
-        config = replace(base, **dict(zip(names, combos[members[0]])))
-        chosen = resolve_engine(engine, config)
-        if not getattr(chosen, "supports_stream_shards", False):
-            return f"engine {chosen.name!r} does not support sharded streaming"
-    if not callable(stream):
-        try:
-            pickle.dumps(stream)
-        except Exception:
-            return (
-                "the stream does not pickle and no stream factory was given; "
-                "pass a zero-argument callable producing the stream"
-            )
+def _unpicklable_reason(stream) -> str | None:
+    """Why the stream cannot travel to shard workers (``None`` = it can)."""
+    if callable(stream):
+        return None
+    try:
+        pickle.dumps(stream)
+    except Exception:
+        return (
+            "the stream does not pickle and no stream factory was given; "
+            "pass a zero-argument callable producing the stream"
+        )
     return None
 
 
@@ -675,19 +604,15 @@ def stream_selected(
     set/bank partition — each worker runs the full pass over its own
     re-opened stream but tracks only its partition's counters, and the
     parent merges the shard set back into full results, bit-identical
-    to the serial pass. When sharding is impossible (an engine without
-    the capability, or a stream that cannot travel to workers) the
+    to the serial pass. When the stream cannot travel to workers the
     pass emits a :class:`~repro.errors.ReproWarning` and runs serially
     instead of silently ignoring the flag.
 
-    The single-pass path requires the resolved engine to expose the
-    ``open_stream_cursor`` capability (the fast engine's). A group
-    whose engine only exposes ``run_streaming`` gets its own pass over
-    the stream — semantically its own engine's, just without the
-    shared-pass economy; an engine with neither capability fails
-    loudly. Results come back in ``combos`` order, bit-identical to
-    the in-memory path, and ``on_result(position, result)`` fires per
-    point after its group finalizes.
+    Every group's resolved engine must expose the ``open_stream_cursor``
+    capability (the fast engine's); one without it fails loudly before
+    the stream is read. Results come back in ``combos`` order,
+    bit-identical to the in-memory path, and ``on_result(position,
+    result)`` fires per point after its group finalizes.
     """
     validate_engine(engine)
     if parallel is not None and parallel < 1:
@@ -700,103 +625,84 @@ def stream_selected(
     for position, group_id in enumerate(group_ids):
         groups.setdefault(group_id, []).append(position)
 
-    shared_lut = lut if lut is not None else LifetimeLUT.default()
-
-    workers = parallel or 1
-    if workers > 1:
-        reason = _shardable(groups, base, names, combos, engine, stream)
-        if reason is None:
-            return _stream_selected_parallel(
-                base,
-                stream,
-                names,
-                combos,
-                groups,
-                shared_lut,
-                engine,
-                on_result,
-                workers,
-            )
-        warnings.warn(
-            f"parallel={parallel} requested but the streaming pass cannot "
-            f"be sharded ({reason}); running the serial single pass",
-            ReproWarning,
-            stacklevel=2,
-        )
-
-    stream = stream() if callable(stream) else stream
-    plan = StreamingPlan()
-    cursors: list[tuple[list[int], StreamCursor]] = []
-    own_pass: list[tuple[list[int], list, object]] = []
+    openers = []
     for members in groups.values():
         configs = [
             replace(base, **dict(zip(names, combos[position])))
             for position in members
         ]
         chosen = resolve_engine(engine, configs[0])
-        opener = getattr(chosen, "open_stream_cursor", None)
-        if opener is not None:
-            cursors.append((members, opener(configs, plan)))
-        elif getattr(chosen, "run_streaming", None) is not None:
-            own_pass.append((members, configs, chosen))
-        else:
+        if not supports_streaming(chosen):
             raise SimulationError(
-                f"engine {chosen.name!r} does not support streaming simulation"
+                f"engine {chosen.name!r} does not support streaming simulation; "
+                "materialize the trace (repro.trace.stream.stream_to_trace) or "
+                "pick an engine with the open_stream_cursor capability"
             )
+        openers.append((members, configs, chosen))
 
+    shared_lut = lut if lut is not None else LifetimeLUT.default()
+
+    workers = parallel or 1
+    reason = _unpicklable_reason(stream) if workers > 1 else None
+    if workers > 1 and reason is not None:
+        warnings.warn(
+            f"parallel={parallel} requested but the streaming pass cannot "
+            f"be sharded ({reason}); running the serial single pass",
+            ReproWarning,
+            stacklevel=2,
+        )
+    if workers > 1 and reason is None:
+        finished = _sharded_groups(
+            base, stream, names, combos, groups, openers, shared_lut, engine, workers
+        )
+    else:
+        finished = _serial_groups(stream, openers, shared_lut)
     results: list[SimulationResult | None] = [None] * len(combos)
-
-    def emit(position: int, result: SimulationResult) -> None:
-        results[position] = result
-        if on_result is not None:
-            on_result(position, result)
-
-    if cursors:
-        for chunk in stream.chunks():
-            plan.begin_chunk(chunk)
-            for _, cursor in cursors:
-                cursor.process(plan)
-        horizon = _finished_horizon(stream)
-        for members, cursor in cursors:
-            for position, result in zip(
-                members, cursor.finalize(horizon, stream.name, shared_lut)
-            ):
-                emit(position, result)
-
-    for members, configs, chosen in own_pass:
-        run_group = getattr(chosen, "run_streaming_group", None)
-        if run_group is not None:
-            group_results = run_group(configs, stream, lut=shared_lut)
-        else:
-            group_results = [
-                chosen.run_streaming(config, stream, lut=shared_lut)
-                for config in configs
-            ]
+    for members, group_results in finished:
         for position, result in zip(members, group_results):
-            emit(position, result)
+            results[position] = result
+            if on_result is not None:
+                on_result(position, result)
     return results
 
 
-def _stream_selected_parallel(
+def _serial_groups(stream, openers, lut: LifetimeLUT):
+    """One pass advancing every group's cursor; yields each group's results."""
+    stream = stream() if callable(stream) else stream
+    plan = StreamingPlan()
+    cursors = [
+        (members, chosen.open_stream_cursor(configs, plan))
+        for members, configs, chosen in openers
+    ]
+    for chunk in stream.chunks():
+        plan.begin_chunk(chunk)
+        for _, cursor in cursors:
+            cursor.process(plan)
+    horizon = _finished_horizon(stream)
+    for members, cursor in cursors:
+        yield members, cursor.finalize(horizon, stream.name, lut)
+
+
+def _sharded_groups(
     base,
     stream,
     names,
     combos,
     groups: dict[int, list[int]],
+    openers,
     lut: LifetimeLUT,
     engine: str,
-    on_result,
     workers: int,
-) -> list[SimulationResult]:
+):
     """Sharded fan-out of one streaming pass (see :func:`stream_selected`).
 
     Worker ``w`` of ``workers`` runs the full pass but tracks hits
     only for sets with ``set % workers == w`` and gaps only for banks
     with ``bank % workers == w``; the parent merges each group's shard
-    set with :func:`merge_shard_partials` and emits results in
-    ``combos`` order. The stream (or its factory) and the grid travel
-    once per worker through the pool initializer; shard payloads carry
-    only the coordinates and combos.
+    set with :func:`merge_shard_partials` and yields each group's
+    results. The stream (or its factory) and the grid travel once per
+    worker through the pool initializer; shard payloads carry only the
+    coordinates and combos.
     """
     from repro.core.engine import custom_engines
     from repro.core.metrics import custom_metrics, custom_templates
@@ -835,17 +741,7 @@ def _stream_selected_parallel(
         for group_id, partial in items:
             partials_by_group[group_id].append(partial)
 
-    results: list[SimulationResult | None] = [None] * len(combos)
-    for group_id, members in groups.items():
-        configs = [
-            replace(base, **dict(zip(names, combos[position])))
-            for position in members
-        ]
-        merged = merge_shard_partials(
+    for group_id, (members, configs, _) in zip(groups, openers):
+        yield members, merge_shard_partials(
             configs, partials_by_group[group_id], horizon, stream_name, lut
         )
-        for position, result in zip(members, merged):
-            results[position] = result
-            if on_result is not None:
-                on_result(position, result)
-    return results

@@ -1,7 +1,7 @@
 """Compiled simulation kernels with a pure-numpy fallback.
 
 Public surface is :mod:`repro.kernels.dispatch` re-exported here; the
-backend modules (``_numpy``, ``_numba``, ``_cext``) are private —
+backend modules (``_numpy``, ``_cext``) are private —
 reprolint REPRO009 rejects importing them outside this package.
 """
 

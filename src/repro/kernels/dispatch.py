@@ -4,19 +4,19 @@ Every caller outside :mod:`repro.kernels` reaches the kernels through
 this module (reprolint REPRO009 enforces it), so the numpy fallback
 stays load-bearing and backend selection stays a one-line concern:
 
-- ``numba`` — JIT loops, preferred when the optional dependency is
-  importable (install extra ``repro[compiled]``).
-- ``cext`` — the same loops as a C shared library built on demand with
-  the system compiler and loaded via ctypes; preferred when numba is
-  absent but a compiler is present.
+- ``cext`` — the kernel loops as a C shared library built on demand
+  with the system compiler and loaded via ctypes; preferred whenever a
+  compiler is present.
 - ``numpy`` — the vectorized fallback and semantic anchor; always
   available.
 
 The default backend is the best available, overridable globally with
 the ``REPRO_KERNELS`` environment variable (read at import), with
 :func:`set_backend` / :func:`use_backend`, or per call via each
-kernel's ``backend=`` parameter. All counters are int64 in and out;
-the differential fuzz suite pins every backend bit-identical to numpy.
+kernel's ``backend=`` parameter. Everything above this module (the
+``fast`` engine, the plan, the streaming cursor) runs on whichever
+backend is active. All counters are int64 in and out; the
+differential fuzz suite pins ``cext`` bit-identical to numpy.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.errors import SimulationError
 from repro.kernels import _numpy
 
 #: Probe order doubles as preference order.
-_PREFERENCE: tuple[str, ...] = ("numba", "cext", "numpy")
+_PREFERENCE: tuple[str, ...] = ("cext", "numpy")
 
 _modules: dict[str, ModuleType] = {"numpy": _numpy}
 _failures: dict[str, str] = {}
@@ -47,12 +47,6 @@ def _probe() -> None:
     if _probed:
         return
     _probed = True
-    try:
-        from repro.kernels import _numba
-
-        _modules["numba"] = _numba
-    except Exception as exc:  # numba missing or broken — fall through
-        _failures["numba"] = f"{type(exc).__name__}: {exc}"
     try:
         from repro.kernels import _cext
 

@@ -26,6 +26,10 @@ from repro.cache.geometry import CacheGeometry
 from repro.trace.trace import Trace
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    config.addinivalue_line("markers", "slow: end-to-end CLI table runs (tens of seconds)")
+
+
 @pytest.fixture(scope="session")
 def framework() -> CharacterizationFramework:
     """Calibrated 45nm-like characterization framework."""

@@ -8,11 +8,8 @@ import pickle
 import pytest
 
 from repro.analysis.pareto import pareto_front
-from repro.analysis.sweep import (
-    _breakeven_group_ids,
-    _chunk_payloads,
-    sweep,
-)
+from repro.analysis.planner import breakeven_group_ids
+from repro.analysis.sweep import _chunk_payloads, sweep
 from repro.cache.geometry import CacheGeometry
 from repro.core.config import ArchitectureConfig
 from repro.errors import ConfigurationError
@@ -180,9 +177,9 @@ class TestPlanSweep:
 
     def test_breakeven_group_ids(self):
         axes = {"num_banks": [2, 4], "breakeven_override": [1, 2, 3]}
-        ids = _breakeven_group_ids(list(axes), axes)
+        ids = breakeven_group_ids(list(axes), axes)
         assert ids == [0, 0, 0, 3, 3, 3]
-        assert _breakeven_group_ids(["num_banks"], {"num_banks": [2, 4]}) is None
+        assert breakeven_group_ids(["num_banks"], {"num_banks": [2, 4]}) is None
 
     def test_chunk_payloads_exclude_trace(self, base_and_trace):
         """The parallel fan-out must not re-pickle the trace per chunk:
@@ -192,7 +189,7 @@ class TestPlanSweep:
         names = list(axes)
         combos = list(itertools.product(*(axes[name] for name in names)))
         payloads = _chunk_payloads(
-            base, names, combos, _breakeven_group_ids(names, axes), "auto", 3
+            base, names, combos, breakeven_group_ids(names, axes), "auto", 3
         )
         assert sum(len(p[2]) for p in payloads) == len(combos)
         trace_bytes = len(pickle.dumps(trace))

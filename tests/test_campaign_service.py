@@ -10,6 +10,7 @@ commit logs), and the stdlib HTTP front-end with its thin client.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import subprocess
@@ -31,7 +32,7 @@ from repro.campaign.codec import short_hash
 from repro.campaign.service.client import ServiceClient
 from repro.campaign.service.index import INDEX_FILENAME
 from repro.campaign.service.queue import WorkQueue, drain_campaign
-from repro.campaign.service.server import CampaignServer
+from repro.campaign.service.server import MAX_BODY_BYTES, CampaignServer
 from repro.campaign.store import RESULTS_DIRNAME
 from repro.campaign.tracespec import TraceSpec
 from repro.cache.geometry import CacheGeometry
@@ -486,6 +487,21 @@ class TestDrain:
 # ----------------------------------------------------------------------
 # HTTP front-end
 # ----------------------------------------------------------------------
+def raw_post(server, body: bytes, headers: dict) -> tuple[int, dict]:
+    """POST ``/specs`` with hand-set headers; ``(status, JSON reply)``."""
+    host, port = server.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        connection.putrequest("POST", "/specs")
+        for name, value in headers.items():
+            connection.putheader(name, value)
+        connection.endheaders(body)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
 @pytest.fixture()
 def server(tmp_path):
     instance = CampaignServer(tmp_path / "served.d", port=0, workers=2)
@@ -542,6 +558,27 @@ class TestHTTPService:
             client.records(nope=1)
         with pytest.raises(ServiceError, match="unknown path"):
             client._request("GET", "/teapot")
+
+    def test_negative_limit_is_rejected(self, server):
+        client = ServiceClient(server.url)
+        with pytest.raises(ServiceError, match="limit must be >= 0"):
+            client.records(limit=-1)
+        with pytest.raises(ServiceError, match="invalid literal"):
+            client.records(limit="many")
+
+    @pytest.mark.parametrize("declared", ["abc", "-5"])
+    def test_malformed_content_length_is_a_400(self, server, declared):
+        status, payload = raw_post(server, b"{}", {"Content-Length": declared})
+        assert status == 400
+        assert "invalid Content-Length" in payload["error"]
+
+    def test_oversize_body_is_a_413(self, server):
+        declared = str(MAX_BODY_BYTES + 1)
+        status, payload = raw_post(server, b"{}", {"Content-Length": declared})
+        assert status == 413
+        assert "exceeds" in payload["error"]
+        # The server keeps serving after refusing the body.
+        assert ServiceClient(server.url).status()["records"] == 0
 
     def test_cli_submit_wait(self, server, tmp_path, capsys):
         spec = small_campaign()

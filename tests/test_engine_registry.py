@@ -28,6 +28,7 @@ from repro.core.simulator import ReferenceSimulator, simulate
 from repro.core.plan import TracePlan
 from repro.errors import ConfigurationError, SimulationError, UnknownEngineError
 from repro.finegrain import FineGrainConfig, FineGrainSimulator
+from repro.kernels import dispatch
 from tests.conftest import make_random_trace
 
 
@@ -97,10 +98,9 @@ def scratch_registry():
 class TestRegistryViews:
     def test_builtins_registered(self):
         assert engine_names() == (
-            "auto", "compiled", "estimate", "fast", "finegrain", "reference"
+            "auto", "estimate", "fast", "finegrain", "reference"
         )
         assert [e.name for e in registered_engines()] == [
-            "compiled",
             "estimate",
             "fast",
             "finegrain",
@@ -124,7 +124,6 @@ class TestRegistryViews:
     def test_result_family(self):
         assert result_family("auto") == "banked"
         assert result_family("fast") == "banked"
-        assert result_family("compiled") == "banked"
         assert result_family("reference") == "banked"
         assert result_family("finegrain") == "finegrain"
 
@@ -165,7 +164,7 @@ class TestRegistryMisuse:
         with pytest.raises(UnknownEngineError) as excinfo:
             simulate(config, trace, engine="warp")
         message = str(excinfo.value)
-        for name in ("auto", "compiled", "fast", "finegrain", "reference"):
+        for name in ("auto", "fast", "finegrain", "reference"):
             assert name in message
         # Back-compat: it is still a ValueError.
         assert isinstance(excinfo.value, ValueError)
@@ -226,13 +225,9 @@ class TestRegistryMisuse:
 
 class TestDispatch:
     def test_auto_resolves_to_best_banked_engine(self, config):
-        # With a compiled kernel backend loadable the compiled engine
-        # outranks fast (priority 20 vs 10); numpy-only environments
-        # keep resolving to fast (compiled drops to priority 5).
-        from repro.kernels.engine import BACKEND
-
-        expected = "compiled" if BACKEND else "fast"
-        assert resolve_engine("auto", config).name == expected
+        # fast is the one banked simulate engine besides the reference
+        # oracle; the kernel backend it runs on is a dispatch concern.
+        assert resolve_engine("auto", config).name == "fast"
 
     def test_auto_never_picks_non_eligible_engines(self, config):
         # finegrain supports this config but must not be auto-picked:
@@ -462,8 +457,18 @@ class TestFineGrainCampaigns:
             CampaignSpec.load(spec_path)
         message = str(excinfo.value)
         assert "warp9" in message
-        for name in ("compiled", "fast", "finegrain", "reference"):
+        for name in ("estimate", "fast", "finegrain", "reference"):
             assert name in message
+
+    def test_retired_compiled_engine_in_spec_json_is_unknown(self, tmp_path):
+        # "compiled" was folded into "fast" (which runs on the active
+        # kernel backend); old spec files must fail loudly, not alias.
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(dict(self.spec_payload(), engine="compiled")))
+        with pytest.raises(UnknownEngineError) as excinfo:
+            CampaignSpec.load(spec_path)
+        assert "'compiled'" in str(excinfo.value)
+        assert "fast" in str(excinfo.value)
 
     def test_unknown_engine_in_spec_reported_cleanly_by_cli(self, tmp_path, capsys):
         payload = dict(self.spec_payload(), engine="warp9")
@@ -480,8 +485,10 @@ class TestCLI:
     def test_engines_command_lists_registry(self, capsys):
         assert main(["engines"]) == 0
         out = capsys.readouterr().out
-        for name in ("auto", "compiled", "fast", "finegrain", "reference"):
+        for name in ("auto", "fast", "finegrain", "reference"):
             assert name in out
+        assert "compiled" not in out
+        assert f"active: {dispatch.active_backend()}" in out
         assert "explicit-only" in out  # finegrain is not auto-eligible
 
     def test_sweep_engine_finegrain_end_to_end(self, capsys):
@@ -514,7 +521,7 @@ class TestExperimentSettingsValidation:
     def test_registered_engines_accepted(self):
         from repro.experiments.suite import ExperimentSettings
 
-        for name in ("auto", "compiled", "fast", "reference", "finegrain"):
+        for name in ("auto", "fast", "reference", "finegrain"):
             ExperimentSettings(engine=name)
 
     def test_unknown_engine_is_a_configuration_error(self):

@@ -136,9 +136,7 @@ class TestSimulateFrontend:
     def test_engine_names_registry(self):
         from repro.core.simulator import ENGINE_NAMES
 
-        assert ENGINE_NAMES == (
-            "auto", "compiled", "estimate", "fast", "finegrain", "reference"
-        )
+        assert ENGINE_NAMES == ("auto", "estimate", "fast", "finegrain", "reference")
 
     def test_unknown_engine(self, lut, random_trace):
         config = ArchitectureConfig(CacheGeometry(8 * 1024, 16), num_banks=4)

@@ -2,9 +2,11 @@
 
 The load-bearing property is **bit-identity across backends**: every
 kernel in :mod:`repro.kernels` must produce exactly the numpy
-backend's integer counters whichever compiled backend (numba, on-demand
-C extension) serves it — including error behavior, carry-state
-streaming, and the sharded parallel pass. The hypothesis classes below
+backend's integer counters when the compiled backend (the on-demand C
+extension) serves it — including error behavior, carry-state
+streaming, the ``fast`` engine end to end under
+:func:`~repro.kernels.dispatch.use_backend`, and the sharded parallel
+pass. The hypothesis classes below
 pin that across banks, ways > 1, breakeven vectors (including
 infinite), one-cycle chunk alignment and shard merge order.
 """
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
 from repro.core.config import ArchitectureConfig
-from repro.core.engine import engine_names, get_engine, resolve_engine
+from repro.core.engine import resolve_engine
 from repro.core.simulator import simulate
 from repro.core.streamsim import (
     StreamShardPartial,
@@ -44,7 +46,7 @@ COMPILED_BACKENDS = [
 
 needs_compiled = pytest.mark.skipif(
     not COMPILED_BACKENDS,
-    reason="no compiled kernel backend available (numba missing, no C compiler)",
+    reason="no compiled kernel backend available (no C compiler)",
 )
 
 
@@ -148,10 +150,10 @@ class TestKernelDifferential:
         alignment case where every gap closes against carried state.
         """
         cycles, splits, num_banks, end = stream
-        accs = {
-            name: StreamingGapAccumulator(num_banks, breakevens, backend=name)
-            for name in ("numpy", backend)
-        }
+        accs = {}
+        for name in ("numpy", backend):
+            with dispatch.use_backend(name):
+                accs[name] = StreamingGapAccumulator(num_banks, breakevens)
         # Re-chunk the bank-sorted stream by cycle windows of `chunk`.
         for lo in range(0, end, chunk):
             hi = min(lo + chunk, end)
@@ -163,13 +165,15 @@ class TestKernelDifferential:
                 counts.append(len(window))
             chunk_cycles = np.concatenate(parts) if parts else np.empty(0, np.int64)
             chunk_splits = np.cumsum([0] + counts).astype(np.int64)
-            for acc in accs.values():
-                acc.update(chunk_cycles, chunk_splits)
+            for name, acc in accs.items():
+                with dispatch.use_backend(name):
+                    acc.update(chunk_cycles, chunk_splits)
         finals = {name: acc.finalize(end) for name, acc in accs.items()}
         assert finals[backend] == finals["numpy"]
-        one_shot = batch_stats_from_sorted_accesses(
-            cycles, splits, breakevens, 0, end, backend=backend
-        )
+        with dispatch.use_backend(backend):
+            one_shot = batch_stats_from_sorted_accesses(
+                cycles, splits, breakevens, 0, end
+            )
         assert finals[backend] == one_shot
 
     @settings(max_examples=60, deadline=None)
@@ -262,12 +266,15 @@ class TestErrorParity:
     def test_not_later_than_carry(self, backend):
         messages = {}
         for name in ("numpy", backend):
-            acc = StreamingGapAccumulator(1, [10], backend=name)
-            acc.update(np.array([5], dtype=np.int64), np.array([0, 1], dtype=np.int64))
-            with pytest.raises(SimulationError) as excinfo:
+            with dispatch.use_backend(name):
+                acc = StreamingGapAccumulator(1, [10])
                 acc.update(
                     np.array([5], dtype=np.int64), np.array([0, 1], dtype=np.int64)
                 )
+                with pytest.raises(SimulationError) as excinfo:
+                    acc.update(
+                        np.array([5], dtype=np.int64), np.array([0, 1], dtype=np.int64)
+                    )
             messages[name] = str(excinfo.value)
         assert messages[backend] == messages["numpy"]
         assert "later than" in messages[backend]
@@ -319,29 +326,41 @@ class TestDispatch:
 
 
 # ---------------------------------------------------------------------------
-# The compiled engine in the registry.
+# The fast engine on the compiled backend vs on numpy.
 # ---------------------------------------------------------------------------
 
+def _counters(result):
+    return (
+        result.bank_stats,
+        result.cache_stats.hits,
+        result.cache_stats.misses,
+        result.updates_applied,
+        result.flush_invalidations,
+        result.energy_pj,
+        result.lifetime_years,
+    )
+
+
 class TestCompiledEngine:
-    def test_registered_and_banked(self):
-        assert "compiled" in engine_names()
-        engine = get_engine("compiled")
-        assert getattr(engine, "family", "banked") == "banked"
+    """``fast`` runs on the active backend; each backend gives the same counters."""
 
-    def test_auto_priority_tracks_backend_availability(self):
-        from repro.kernels.engine import BACKEND
+    def test_fast_follows_the_active_backend(self, monkeypatch):
+        used = []
+        resolve = dispatch._resolve
 
-        engine = get_engine("compiled")
-        fast = get_engine("fast")
-        if BACKEND:
-            assert engine.priority > fast.priority
-        else:
-            assert engine.priority < fast.priority
+        def spy(name):
+            module = resolve(name)
+            used.append(module.NAME)
+            return module
 
-    def test_fast_engine_stays_pinned_to_numpy(self):
-        # "fast" is the stable differential anchor: whatever backends
-        # exist, it must keep meaning the pure-numpy kernels.
-        assert get_engine("fast").backend == "numpy"
+        monkeypatch.setattr(dispatch, "_resolve", spy)
+        trace = random_trace(np.random.default_rng(5), 200)
+        config = ArchitectureConfig(CacheGeometry(8 * 1024, 16, ways=2), num_banks=4)
+        for backend in dispatch.available_backends():
+            used.clear()
+            with dispatch.use_backend(backend):
+                simulate(config, trace, engine="fast")
+            assert used and set(used) == {backend}
 
     @needs_compiled
     def test_engine_differential_vs_fast(self):
@@ -354,33 +373,29 @@ class TestCompiledEngine:
                 policy="probing",
                 update_period_cycles=256,
             )
-            fast = simulate(config, trace, engine="fast")
-            compiled = simulate(config, trace, engine="compiled")
-            assert fast.bank_stats == compiled.bank_stats
-            assert fast.cache_stats.hits == compiled.cache_stats.hits
-            assert fast.cache_stats.misses == compiled.cache_stats.misses
-            assert fast.updates_applied == compiled.updates_applied
-            assert fast.energy_pj == compiled.energy_pj
-            assert fast.lifetime_years == compiled.lifetime_years
+            with dispatch.use_backend("numpy"):
+                anchor = simulate(config, trace, engine="fast")
+            for backend in COMPILED_BACKENDS:
+                with dispatch.use_backend(backend):
+                    compiled = simulate(config, trace, engine="fast")
+                assert _counters(compiled) == _counters(anchor)
 
     @needs_compiled
     def test_engine_differential_streaming(self):
         rng = np.random.default_rng(7)
         trace = random_trace(rng, 300)
         config = ArchitectureConfig(
-            CacheGeometry(8 * 1024, 16),
+            CacheGeometry(8 * 1024, 16, ways=2),
             num_banks=4,
             policy="probing",
             update_period_cycles=128,
         )
-        fast = simulate_stream(
-            config, InMemoryTraceStream(trace, 97), engine="fast"
-        )
-        compiled = simulate_stream(
-            config, InMemoryTraceStream(trace, 97), engine="compiled"
-        )
-        assert fast.bank_stats == compiled.bank_stats
-        assert fast.cache_stats.hits == compiled.cache_stats.hits
+        with dispatch.use_backend("numpy"):
+            anchor = simulate_stream(config, InMemoryTraceStream(trace, 97))
+        for backend in COMPILED_BACKENDS:
+            with dispatch.use_backend(backend):
+                compiled = simulate_stream(config, InMemoryTraceStream(trace, 97))
+            assert _counters(compiled) == _counters(anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -451,22 +466,6 @@ class TestParallelStreaming:
                 base, Unpicklable(trace, 200), names, combos, parallel=2
             )
         self.assert_identical(serial, fell_back)
-
-    def test_engine_without_shard_support_warns(self, monkeypatch):
-        trace, base, names, combos = _stream_case()
-        fast = get_engine("fast")
-        monkeypatch.setattr(
-            type(fast), "supports_stream_shards", False, raising=False
-        )
-        with pytest.warns(ReproWarning, match="cannot be sharded"):
-            stream_selected(
-                base,
-                lambda: InMemoryTraceStream(trace, 200),
-                names,
-                combos[:1],
-                engine="fast",
-                parallel=2,
-            )
 
     def test_invalid_worker_count_rejected(self):
         trace, base, names, combos = _stream_case()

@@ -204,15 +204,15 @@ RULE_FIXTURES = [
         "REPRO009",
         "core/fastsim.py",
         # Bypassing the dispatch layer pins one backend and crashes
-        # numpy-only environments when that backend is numba/cext.
-        "from repro.kernels import _numba\n"
+        # numpy-only environments when that backend is cext.
+        "from repro.kernels import _numpy\n"
         "import repro.kernels._cext as cext\n"
         "def kernel(tags, starts, ways):\n"
-        "    return _numba.lru_walk(tags, starts, ways)\n",
+        "    return _numpy.lru_walk(tags, starts, ways)\n",
         # The dispatch layer owns backend selection and fallback.
         "from repro.kernels import dispatch as kernels\n"
-        "def kernel(tags, starts, ways, backend=None):\n"
-        "    return kernels.lru_walk(tags, starts, ways, backend=backend)\n",
+        "def kernel(tags, starts, ways):\n"
+        "    return kernels.lru_walk(tags, starts, ways)\n",
     ),
     (
         "REPRO003",

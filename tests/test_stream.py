@@ -21,7 +21,7 @@ from repro.cache.geometry import CacheGeometry
 from repro.core.config import ArchitectureConfig
 from repro.core.plan import StreamingPlan
 from repro.core.simulator import simulate
-from repro.core.streamsim import run_streaming_group, simulate_stream
+from repro.core.streamsim import simulate_stream, stream_selected
 from repro.errors import SimulationError, TraceError
 from repro.power.idleness import (
     StreamingGapAccumulator,
@@ -295,8 +295,15 @@ class TestStreamedEngineBitIdentity:
         )
         from dataclasses import replace
 
-        configs = [replace(base, breakeven_override=b) for b in (1, 5, 40, None)]
-        streamed = run_streaming_group(configs, InMemoryTraceStream(trace, 77))
+        breakevens = (1, 5, 40, None)
+        configs = [replace(base, breakeven_override=b) for b in breakevens]
+        streamed = stream_selected(
+            base,
+            InMemoryTraceStream(trace, 77),
+            ("breakeven_override",),
+            [(b,) for b in breakevens],
+            group_ids=[0] * len(breakevens),
+        )
         for config, result in zip(configs, streamed):
             one = simulate(config, trace, engine="fast")
             assert_results_identical(one, result, context=config.breakeven_override)
